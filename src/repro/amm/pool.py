@@ -9,7 +9,7 @@ and flash loans — with the same rounding and fee-accounting behaviour as
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.amm import backend, liquidity_math
@@ -64,38 +64,23 @@ class SwapResult:
     fee_paid: int
 
 
-@dataclass(slots=True)
 class PendingSwap:
-    """A fully-computed swap awaiting :meth:`commit` — one tick walk total.
+    """A quoted swap awaiting :meth:`commit`: a :class:`SwapBatch` of one.
 
-    ``prepare_swap`` walks the tick range without mutating the pool,
-    recording the post-walk state and the fee-growth flips of every tick
-    crossed.  Callers inspect the outcome (slippage limits, deposit
-    coverage) and either drop the object — a pure quote — or ``commit`` it,
-    which applies the recorded effects without walking again.  This is what
-    lets the executor validate-then-execute with a single pass instead of
-    quoting and re-simulating.
+    ``Pool.prepare_swap`` opens a batch and quotes once.  Callers inspect
+    the outcome (slippage limits, deposit coverage) and either drop the
+    handle — a pure quote — or ``commit`` it, which accepts the quote and
+    commits the batch without walking again.
     """
 
-    pool: "Pool"
-    zero_for_one: bool
-    amount0: int
-    amount1: int
-    sqrt_price_after_x96: int
-    tick_after: int
-    liquidity_after: int
-    fee_growth_global_x128: int
-    fee_paid: int
-    #: (tick, new_fee_growth_outside0, new_fee_growth_outside1) per crossing.
-    crossings: list[tuple[int, int, int]]
-    _pre_tick: int
-    _pre_state_version: int
+    __slots__ = ("_batch", "amount0", "amount1", "sqrt_price_after_x96", "fee_paid")
 
-    def trader_amounts(self) -> tuple[int, int]:
-        """(amount_in, amount_out) from the trader's perspective."""
-        if self.zero_for_one:
-            return self.amount0, -self.amount1
-        return self.amount1, -self.amount0
+    def __init__(self, batch: "SwapBatch") -> None:
+        self._batch = batch
+        self.amount0 = batch.amount0
+        self.amount1 = batch.amount1
+        self.sqrt_price_after_x96 = batch._cand[1]
+        self.fee_paid = batch.fee_paid
 
     def commit(self, timestamp: float | None = None) -> SwapResult:
         """Apply the prepared swap to the pool (no second tick walk).
@@ -103,75 +88,53 @@ class PendingSwap:
         One-shot: the pool's state version must still match the one seen
         at prepare time, so any intervening mutation — another swap, a
         mint/burn/collect, a flash, or an earlier commit of this same
-        object — voids the pending swap.
+        handle — voids the pending swap.  When ``timestamp`` is given the
+        pre-swap tick is written to the oracle before any state changes.
         """
-        pool = self.pool
-        if pool._state_version != self._pre_state_version:
+        batch = self._batch
+        pool = batch.pool
+        if pool._state_version != batch._version:
             raise AMMError("pool state changed since swap was prepared")
         if timestamp is not None:
-            pool.oracle.write(timestamp, self._pre_tick)
-        pool._state_version += 1
-        ticks = pool.ticks.ticks
-        for tick, outside0, outside1 in self.crossings:
-            info = ticks.get(tick)
-            if info is not None:
-                info.fee_growth_outside0_x128 = outside0
-                info.fee_growth_outside1_x128 = outside1
-        pool.sqrt_price_x96 = self.sqrt_price_after_x96
-        pool.tick = self.tick_after
-        pool.liquidity = self.liquidity_after
-        if self.zero_for_one:
-            pool.fee_growth_global0_x128 = self.fee_growth_global_x128
-        else:
-            pool.fee_growth_global1_x128 = self.fee_growth_global_x128
-        pool.balance0 += self.amount0
-        pool.balance1 += self.amount1
+            pool.oracle.write(timestamp, pool.tick)
+        batch.accept()
+        batch.commit()
         return SwapResult(
             amount0=self.amount0,
             amount1=self.amount1,
-            sqrt_price_x96=self.sqrt_price_after_x96,
-            tick=self.tick_after,
-            liquidity=self.liquidity_after,
+            sqrt_price_x96=pool.sqrt_price_x96,
+            tick=pool.tick,
+            liquidity=pool.liquidity,
             fee_paid=self.fee_paid,
         )
 
 
 class SwapBatch:
-    """Round-level batch quoting: one amortized tick walk for many swaps.
+    """The swap walker: one amortized tick walk for any number of swaps.
 
-    ``Pool.begin_swap_batch`` snapshots the pool's swap state (price, tick,
+    Every swap and quote runs here — ``Pool.prepare_swap`` is a batch of
+    one.  Opening a batch snapshots the pool's swap state (price, tick,
     liquidity, fee growth) and aliases the sorted initialized-tick index
     once.  Each :meth:`quote` then continues the walk from the batch's
     *virtual* state, finding neighbouring ticks through an incrementally
-    maintained cursor into that index instead of a fresh bisect per step,
-    and without allocating a ``PendingSwap``.  The caller inspects the
-    quote (``amount0``/``amount1``/``fee_paid``), then either :meth:`accept`
-    — folding it into the virtual state — or simply quotes the next swap,
-    which discards the candidate.  :meth:`commit` applies the whole batch
-    to the pool in one shot.
+    maintained cursor into that index (down-next ``= index[lo]``, up-next
+    ``= index[lo + 1]``; only crossings move it).  The caller inspects the
+    quote (``amount0``/``amount1``/``fee_paid``), then either
+    :meth:`accept` — folding it into the virtual state — or simply quotes
+    the next swap, which discards the candidate.  :meth:`commit` applies
+    the whole batch to the pool in one shot.
 
-    Equivalence with the sequential path: for the same transaction order,
-    quote/accept per transaction is arithmetically identical to
-    ``prepare_swap``/``commit`` per transaction —
-
-    * the step loop is the same arithmetic, step for step;
-    * the cursor invariant (down-next ``= index[lo]``, up-next
-      ``= index[lo + 1]``) reproduces ``next_initialized_tick`` exactly,
-      including the boundary cases after a swap stops on a crossed tick,
-      because crossings move the cursor by exactly one slot and mid-range
-      stops leave it untouched;
-    * fee-growth-outside flips of accepted swaps live in an overlay that
-      later quotes read back, which is precisely what sequential commits
-      would have written into the tick records;
-    * the current tick is tracked symbolically (``tick_next - 1`` /
-      ``tick_next`` on crossings) and resolved with a single
-      ``get_tick_at_sqrt_ratio`` at commit when the last accepted swap
-      stopped mid-range — the same value the last sequential commit
-      would have stored, minus the per-swap log-price calls.
+    Fee-growth-outside flips of accepted swaps live in an overlay that
+    later quotes read back and commit folds into the tick records.  The
+    current tick is tracked symbolically (``tick_next - 1`` /
+    ``tick_next`` on crossings) and resolved with a single
+    ``get_tick_at_sqrt_ratio`` at commit when the last accepted swap
+    stopped mid-range.  Quoting and committing N swaps in one batch is
+    arithmetically identical to walking and committing them one by one;
+    the test suite checks this against a sequential reference walker.
 
     The pool must not be mutated while the batch is open: commit checks
-    the state version recorded at open and refuses to apply otherwise,
-    and mints/burns may not interleave with an open batch.
+    the state version recorded at open and refuses to apply otherwise.
     """
 
     __slots__ = (
@@ -234,9 +197,8 @@ class SwapBatch:
         """Quote one swap against the batch's virtual state.
 
         Returns ``(amount0, amount1)`` with pool-perspective signs and
-        stores them (plus ``fee_paid``) on the batch.  Raises exactly what
-        ``prepare_swap`` would raise in the same pool state.  The quote is
-        a *candidate*: nothing changes until :meth:`accept`.
+        stores them (plus ``fee_paid``) on the batch.  The quote is a
+        *candidate*: nothing changes until :meth:`accept`.
         """
         self._cand = None
         if amount_specified == 0:
@@ -273,8 +235,9 @@ class SwapBatch:
         crossings = self._crossings
         crossings.clear()
 
-        # Hot loop, locals-bound like prepare_swap; the per-step
-        # next_initialized_tick bisect is replaced by the cursor.
+        # Hot loop: bind everything to locals.  Ticks in the index were
+        # range-checked on mint, so the unchecked cached ratio lookup is
+        # safe; the MIN/MAX fallbacks are in range by definition.
         iticks = self._iticks
         n = len(iticks)
         lo = self._lo
@@ -319,6 +282,8 @@ class SwapBatch:
                 )
 
             if liquidity == 0:
+                # No liquidity in range: the price jumps to the target
+                # without exchanging anything.
                 sqrt_price = target
             else:
                 sqrt_price, amount_in, amount_out, fee_amount = step_values(
@@ -377,6 +342,11 @@ class SwapBatch:
             amount0 = amount_calculated
             amount1 = amount_specified - amount_remaining
         if amount0 == 0 and amount1 == 0:
+            # The walk exchanged nothing: no liquidity in the swap's
+            # direction (e.g. a freshly opened pool on an empty shard).
+            # Committing would only crash the price to the limit and
+            # wedge the pool, so every caller — quoter, router, the
+            # sidechain executor — gets a typed error instead.
             raise NoLiquidityError(
                 f"no liquidity for "
                 f"{'zero-for-one' if zero_for_one else 'one-for-zero'} swap "
@@ -465,7 +435,7 @@ class Pool:
         self.initialized = False
         #: TWAP oracle; swaps that pass a timestamp checkpoint into it.
         self.oracle = Oracle(capacity=128)
-        #: Bumped on every state mutation; voids outstanding PendingSwaps.
+        #: Bumped on every state mutation; voids open batches and pending swaps.
         self._state_version = 0
 
     # -- lifecycle ------------------------------------------------------------
@@ -677,168 +647,21 @@ class Pool:
     ) -> PendingSwap:
         """Compute a swap's full outcome without touching pool state.
 
-        The returned :class:`PendingSwap` carries the post-walk state and
-        the per-crossing fee flips; ``commit`` applies them in O(crossings)
+        Opens a :class:`SwapBatch`, quotes the swap once and returns the
+        :class:`PendingSwap` handle; its ``commit`` applies the quote
         without re-walking.  Quotes use the same walk, so a quote and its
         subsequent execution agree to the wei by construction.
         """
-        self._require_initialized()
-        if amount_specified == 0:
-            raise AMMError("swap amount must be non-zero")
-        if sqrt_price_limit_x96 is None:
-            sqrt_price_limit_x96 = (
-                backend.MIN_SQRT_RATIO + 1
-                if zero_for_one
-                else backend.MAX_SQRT_RATIO - 1
-            )
-        if zero_for_one:
-            if not (
-                backend.MIN_SQRT_RATIO < sqrt_price_limit_x96 < self.sqrt_price_x96
-            ):
-                raise SlippageError(
-                    f"price limit {sqrt_price_limit_x96} invalid for zero-for-one"
-                )
-        else:
-            if not (
-                self.sqrt_price_x96 < sqrt_price_limit_x96 < backend.MAX_SQRT_RATIO
-            ):
-                raise SlippageError(
-                    f"price limit {sqrt_price_limit_x96} invalid for one-for-zero"
-                )
-
-        exact_input = amount_specified > 0
-        amount_remaining = amount_specified
-        amount_calculated = 0
-        sqrt_price = self.sqrt_price_x96
-        tick = self.tick
-        liquidity = self.liquidity
-        fee_growth_global = (
-            self.fee_growth_global0_x128 if zero_for_one else self.fee_growth_global1_x128
-        )
-        fee_growth_other = (
-            self.fee_growth_global1_x128 if zero_for_one else self.fee_growth_global0_x128
-        )
-        total_fee = 0
-        crossings: list[tuple[int, int, int]] = []
-
-        # Hot loop: bind everything to locals.  Ticks coming out of the
-        # table were range-checked on mint, so the unchecked cached ratio
-        # lookup is safe; the MIN/MAX fallbacks are in range by definition.
-        next_tick = self.ticks.next_initialized_tick
-        tick_records = self.ticks.ticks
-        sqrt_at = backend.sqrt_ratio_at_tick_unchecked
-        tick_at = backend.get_tick_at_sqrt_ratio
-        step_values = backend.compute_swap_step_values
-        fee_pips = self.config.fee_pips
-        min_tick, max_tick = backend.MIN_TICK, backend.MAX_TICK
-
-        while amount_remaining != 0 and sqrt_price != sqrt_price_limit_x96:
-            step_start_price = sqrt_price
-            tick_next, initialized = next_tick(tick, lte=zero_for_one)
-            if tick_next is None:
-                tick_next = min_tick if zero_for_one else max_tick
-            elif tick_next < min_tick:
-                tick_next = min_tick
-            elif tick_next > max_tick:
-                tick_next = max_tick
-            sqrt_price_next = sqrt_at(tick_next)
-
-            if zero_for_one:
-                target = (
-                    sqrt_price_next
-                    if sqrt_price_next > sqrt_price_limit_x96
-                    else sqrt_price_limit_x96
-                )
-            else:
-                target = (
-                    sqrt_price_next
-                    if sqrt_price_next < sqrt_price_limit_x96
-                    else sqrt_price_limit_x96
-                )
-
-            if liquidity == 0:
-                # No liquidity in range: the price jumps to the target
-                # without exchanging anything.
-                sqrt_price = target
-            else:
-                sqrt_price, amount_in, amount_out, fee_amount = step_values(
-                    sqrt_price, target, liquidity, amount_remaining, fee_pips
-                )
-                total_fee += fee_amount
-                if exact_input:
-                    amount_remaining -= amount_in + fee_amount
-                    amount_calculated -= amount_out
-                else:
-                    amount_remaining += amount_out
-                    amount_calculated += amount_in + fee_amount
-                fee_growth_global = (
-                    fee_growth_global + (fee_amount * Q128) // liquidity
-                ) % Q128
-
-            if sqrt_price == sqrt_price_next:
-                if initialized:
-                    info = tick_records.get(tick_next)
-                    if info is not None:
-                        if zero_for_one:
-                            crossings.append((
-                                tick_next,
-                                (fee_growth_global - info.fee_growth_outside0_x128) % Q128,
-                                (fee_growth_other - info.fee_growth_outside1_x128) % Q128,
-                            ))
-                            liquidity = liquidity_math.add_delta(
-                                liquidity, -info.liquidity_net
-                            )
-                        else:
-                            crossings.append((
-                                tick_next,
-                                (fee_growth_other - info.fee_growth_outside0_x128) % Q128,
-                                (fee_growth_global - info.fee_growth_outside1_x128) % Q128,
-                            ))
-                            liquidity = liquidity_math.add_delta(
-                                liquidity, info.liquidity_net
-                            )
-                tick = tick_next - 1 if zero_for_one else tick_next
-            elif sqrt_price != step_start_price:
-                tick = tick_at(sqrt_price)
-
-        if zero_for_one == exact_input:
-            amount0 = amount_specified - amount_remaining
-            amount1 = amount_calculated
-        else:
-            amount0 = amount_calculated
-            amount1 = amount_specified - amount_remaining
-        if amount0 == 0 and amount1 == 0:
-            # The walk exchanged nothing: no liquidity in the swap's
-            # direction (e.g. a freshly opened pool on an empty shard).
-            # Committing would only crash the price to the limit and
-            # wedge the pool, so every caller — quoter, router, the
-            # sidechain executor — gets a typed error instead.
-            raise NoLiquidityError(
-                f"no liquidity for "
-                f"{'zero-for-one' if zero_for_one else 'one-for-zero'} swap "
-                f"in pool {self.config.token0}/{self.config.token1}"
-            )
-        return PendingSwap(
-            pool=self,
-            zero_for_one=zero_for_one,
-            amount0=amount0,
-            amount1=amount1,
-            sqrt_price_after_x96=sqrt_price,
-            tick_after=tick,
-            liquidity_after=liquidity,
-            fee_growth_global_x128=fee_growth_global,
-            fee_paid=total_fee,
-            crossings=crossings,
-            _pre_tick=self.tick,
-            _pre_state_version=self._state_version,
-        )
+        batch = SwapBatch(self)
+        batch.quote(zero_for_one, amount_specified, sqrt_price_limit_x96)
+        return PendingSwap(batch)
 
     def begin_swap_batch(self) -> SwapBatch:
         """Open a round-level batch: many swaps, one amortized tick walk.
 
         See :class:`SwapBatch`.  The pool must stay untouched until the
         batch's ``commit`` (enforced by the state version); mints, burns
-        and individual swaps may resume afterwards.
+        and other swaps may resume afterwards.
         """
         return SwapBatch(self)
 
@@ -917,11 +740,11 @@ class Pool:
 class PoolSnapshot:
     """Read-only view of a :class:`Pool` frozen at an epoch boundary.
 
-    Quotes delegate to :meth:`Pool.prepare_swap` on a private deep copy
-    of the frozen state, so ``PoolSnapshot.quote`` agrees with
-    :func:`repro.amm.quoter.quote_swap` on the live pool at freeze time
-    to the wei — same walk, same rounding, same error types and
-    messages — while later mutations of the live pool can never leak in.
+    Quotes run :func:`repro.amm.quoter.quote_swap` — the swap walker —
+    on a private deep copy of the frozen state, so ``PoolSnapshot.quote``
+    agrees with ``quote_swap`` on the live pool at freeze time to the
+    wei — same walk, same rounding, same error types and messages —
+    while later mutations of the live pool can never leak in.
     """
 
     __slots__ = ("_pool", "epoch", "state_version")
@@ -988,12 +811,10 @@ class PoolSnapshot:
         (``AMMError``, ``SlippageError``, ``NoLiquidityError`` — same
         types, same messages).
         """
-        from repro.amm.quoter import Quote
+        from repro.amm.quoter import quote_swap
 
-        return Quote.from_pending(
-            self._pool.prepare_swap(
-                zero_for_one, amount_specified, sqrt_price_limit_x96
-            )
+        return quote_swap(
+            self._pool, zero_for_one, amount_specified, sqrt_price_limit_x96
         )
 
     def snapshot(self) -> dict:

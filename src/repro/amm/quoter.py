@@ -2,19 +2,19 @@
 
 Quotes the exact swap loop against a pool without mutating it, so callers
 can validate slippage bounds and deposit coverage *before* executing.
-Since PR 1 this is a thin view over :meth:`Pool.prepare_swap` — the quote
-and a subsequent execution literally share one walk implementation, so
-they agree to the wei by construction (the ammBoost executor relies on
-this to reject uncovered transactions without corrupting pool state: the
-sidechain must "accept only these for which issuing users own tokens on
-the mainchain").
+A quote is a :class:`~repro.amm.pool.SwapBatch` of one that is never
+committed — quotes, swaps and the executor share one walker, so a quote
+and a subsequent execution agree to the wei by construction (the ammBoost
+executor relies on this to reject uncovered transactions without
+corrupting pool state: the sidechain must "accept only these for which
+issuing users own tokens on the mainchain").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.amm.pool import PendingSwap, Pool
+from repro.amm.pool import Pool
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,15 +31,6 @@ class Quote:
         if zero_for_one:
             return self.amount0, -self.amount1
         return self.amount1, -self.amount0
-
-    @classmethod
-    def from_pending(cls, pending: PendingSwap) -> "Quote":
-        return cls(
-            amount0=pending.amount0,
-            amount1=pending.amount1,
-            sqrt_price_after_x96=pending.sqrt_price_after_x96,
-            fee_paid=pending.fee_paid,
-        )
 
 
 def quote_swap(
@@ -60,6 +51,7 @@ def quote_swap(
     empty shard) has no meaningful quote, only a price crash to the
     extreme ratio.
     """
-    return Quote.from_pending(
-        pool.prepare_swap(zero_for_one, amount_specified, sqrt_price_limit_x96)
+    pending = pool.prepare_swap(zero_for_one, amount_specified, sqrt_price_limit_x96)
+    return Quote(
+        pending.amount0, pending.amount1, pending.sqrt_price_after_x96, pending.fee_paid
     )

@@ -2,13 +2,14 @@
 
 Uniswap V3 tracks per-tick liquidity deltas and "fee growth outside" so
 positions can compute the fees accrued strictly inside their range.  The
-Solidity implementation indexes initialized ticks with a bitmap; a sorted
-list with bisection gives the same ``next initialized tick`` queries with
-clearer Python.
+Solidity implementation indexes initialized ticks with a bitmap; here a
+sorted list (``_sorted``) serves the same ``next initialized tick``
+queries: the swap walker (:class:`repro.amm.pool.SwapBatch`) aliases it
+and moves a cursor along it instead of searching per step.
 
-Read paths (``peek``, ``fee_growth_inside``, ``next_initialized_tick``)
-never allocate tick records: swaps and quotes under heavy query load must
-not grow ``self.ticks``.  Only ``update`` — the mint/burn path — creates
+Read paths (``fee_growth_inside`` and the swap walker's lookups) never
+allocate tick records: swaps and quotes under heavy query load must not
+grow ``self.ticks``.  Only ``update`` — the mint/burn path — creates
 records.
 """
 
@@ -47,10 +48,6 @@ class TickTable:
         self.tick_spacing = tick_spacing
         self.ticks: dict[int, TickInfo] = {}
         self._sorted: list[int] = []
-        #: (tick, lte) -> next_initialized_tick result; flushed whenever the
-        #: index mutates.  Swaps that stay within one tick range hit this
-        #: repeatedly with the same key.
-        self._neighbor_cache: dict[tuple[int, bool], tuple[int | None, bool]] = {}
         #: Cleared records parked by :meth:`clear` for :meth:`get` to reuse.
         self._spare: list[TickInfo] = []
 
@@ -60,8 +57,8 @@ class TickTable:
     def get(self, tick: int) -> TickInfo:
         """Fetch (creating if absent) the info record for ``tick``.
 
-        Write-path helper: use :meth:`peek` on read paths so queries never
-        allocate phantom records.
+        Write-path helper: read paths use ``self.ticks.get`` so queries
+        never allocate phantom records.
         """
         info = self.ticks.get(tick)
         if info is None:
@@ -76,16 +73,6 @@ class TickTable:
                 info = TickInfo()
             self.ticks[tick] = info
         return info
-
-    def peek(self, tick: int) -> TickInfo:
-        """Read the info record for ``tick`` without creating one.
-
-        Absent ticks read as a fresh all-zeros record (an uninitialized
-        tick's fee-growth-outside values are zero by definition) that is
-        not stored in the table — mutating it has no effect.
-        """
-        info = self.ticks.get(tick)
-        return info if info is not None else TickInfo()
 
     def check_spacing(self, tick: int) -> None:
         if tick % self.tick_spacing != 0:
@@ -148,64 +135,6 @@ class TickTable:
         if len(self._spare) < 16:
             self._spare.append(info)
 
-    def cross(
-        self,
-        tick: int,
-        fee_growth_global0_x128: int,
-        fee_growth_global1_x128: int,
-    ) -> int:
-        """Cross an initialized tick during a swap; returns liquidity_net.
-
-        Crossing an absent tick is a no-op returning zero net liquidity —
-        the swap loop only crosses indexed ticks, so no record is created.
-        """
-        info = self.ticks.get(tick)
-        if info is None:
-            return 0
-        info.fee_growth_outside0_x128 = (
-            fee_growth_global0_x128 - info.fee_growth_outside0_x128
-        ) % Q128
-        info.fee_growth_outside1_x128 = (
-            fee_growth_global1_x128 - info.fee_growth_outside1_x128
-        ) % Q128
-        return info.liquidity_net
-
-    def next_initialized_tick(
-        self, tick: int, lte: bool
-    ) -> tuple[int | None, bool]:
-        """Find the next initialized tick at or beyond ``tick``.
-
-        ``lte=True`` searches downwards (tick itself included), matching
-        the bitmap's ``nextInitializedTickWithinOneWord`` direction for
-        zero-for-one swaps.  Returns ``(tick, initialized)`` with ``None``
-        when no initialized tick remains in that direction.
-        """
-        key = (tick, lte)
-        cached = self._neighbor_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._next_initialized_tick_uncached(tick, lte)
-        if len(self._neighbor_cache) >= 4096:
-            self._neighbor_cache.clear()
-        self._neighbor_cache[key] = result
-        return result
-
-    def _next_initialized_tick_uncached(
-        self, tick: int, lte: bool
-    ) -> tuple[int | None, bool]:
-        ticks = self._sorted
-        if not ticks:
-            return None, False
-        if lte:
-            idx = bisect.bisect_right(ticks, tick) - 1
-            if idx < 0:
-                return None, False
-            return ticks[idx], True
-        idx = bisect.bisect_right(ticks, tick)
-        if idx >= len(ticks):
-            return None, False
-        return ticks[idx], True
-
     def fee_growth_inside(
         self,
         tick_lower: int,
@@ -244,10 +173,8 @@ class TickTable:
         idx = bisect.bisect_left(self._sorted, tick)
         if idx >= len(self._sorted) or self._sorted[idx] != tick:
             self._sorted.insert(idx, tick)
-            self._neighbor_cache.clear()
 
     def _remove(self, tick: int) -> None:
         idx = bisect.bisect_left(self._sorted, tick)
         if idx < len(self._sorted) and self._sorted[idx] == tick:
             self._sorted.pop(idx)
-            self._neighbor_cache.clear()

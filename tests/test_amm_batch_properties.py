@@ -1,20 +1,23 @@
-"""Property suite: batch quoting is equivalent to sequential quoting.
+"""Property suite: the swap walker against the sequential reference walker.
 
-The batch walker (``Pool.begin_swap_batch``) must be *bit-identical* to
-the sequential ``prepare_swap``/``commit`` path for any transaction
-sequence — same amounts, same fees, same errors, same final pool state
-including every tick record's fee-growth-outside values and the state
-version.  These properties drive generated swap mixes (both directions,
-exact input and exact output, price limits, tick-crossing sizes,
-rejections that discard a quote) through both paths on identically
-constructed pools and compare everything observable.
+The swap walker (``SwapBatch``: every quote and swap, a lone swap being
+a batch of one) must be *bit-identical* to the sequential reference walk
+in :mod:`tests.swap_oracle` for any transaction sequence — same amounts,
+same fees, same errors, same final pool state including every tick
+record's fee-growth-outside values and the state version.  These
+properties drive generated swap mixes (both directions, exact input and
+exact output, price limits, tick-crossing sizes, rejections that discard
+a quote) through both walkers on identically constructed pools and
+compare everything observable.
 
 The executor-level property does the same one layer up:
-``SidechainExecutor.process_round`` (batch walker + struct-of-arrays
-records) against per-transaction ``process`` — acceptance decisions,
+``SidechainExecutor.process_round`` (one batch per swap run +
+struct-of-arrays records) against per-transaction ``process`` (a run of
+one per swap) and against the reference executor — acceptance decisions,
 reject-reason strings, effects dicts, deposits and pool state all match.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amm.fixed_point import encode_price_sqrt
@@ -22,29 +25,21 @@ from repro.amm.pool import Pool, PoolConfig
 from repro.core.executor import SidechainExecutor
 from repro.core.transactions import MintTx, SwapTx
 from repro.errors import AMMError
+from tests import swap_oracle
+from tests.swap_oracle import pool_state
 
 
-def build_pool() -> Pool:
+def build_pool(initialized: bool = True) -> Pool:
     """A pool with overlapping ranges so swaps cross initialized ticks."""
     pool = Pool(PoolConfig(token0="A", token1="B", fee_pips=3000))
+    if not initialized:
+        return pool
     pool.initialize(encode_price_sqrt(1, 1))
     pool.mint("lp", -600, 600, 10**18)
     pool.mint("lp", -120, 120, 5 * 10**17)
     pool.mint("lp", -60, 60, 10**17)
     pool.mint("lp", 60, 240, 3 * 10**17)
     return pool
-
-
-def tick_fee_state(pool: Pool) -> dict:
-    return {
-        tick: (
-            info.liquidity_gross,
-            info.liquidity_net,
-            info.fee_growth_outside0_x128,
-            info.fee_growth_outside1_x128,
-        )
-        for tick, info in pool.ticks.ticks.items()
-    }
 
 
 SWAP = st.tuples(
@@ -59,38 +54,45 @@ SWAP = st.tuples(
 @settings(max_examples=80, deadline=None)
 @given(swaps=st.lists(SWAP, min_size=1, max_size=16))
 def test_batch_quoting_equals_sequential(swaps):
+    """One batch for all swaps, and a batch of one per swap, both match."""
     seq = build_pool()
     bat = build_pool()
+    one = build_pool()
     batch = bat.begin_swap_batch()
+
+    def outcome(quote):
+        """(handle, comparable outcome) of one quote; no handle on error."""
+        try:
+            handle = quote()
+        except AMMError as exc:  # SlippageError / NoLiquidityError included
+            return None, ("err", type(exc).__name__, str(exc))
+        return handle, ("ok", handle.amount0, handle.amount1, handle.fee_paid)
+
+    def batch_quote(*args):
+        batch.quote(*args)
+        return batch
+
     for zero_for_one, exact_input, amount, mode in swaps:
         amount_specified = amount if exact_input else -amount
         limit = None
         if mode == 1:
-            # A tight limit in the swap direction: both paths must stop at
+            # A tight limit in the swap direction: every path must stop at
             # the same price (and may reject with NoLiquidityError when
             # the limit allows no movement at all).
             price = seq.sqrt_price_x96
             limit = price - price // 500 if zero_for_one else price + price // 500
-        try:
-            pending = seq.prepare_swap(zero_for_one, amount_specified, limit)
-            seq_outcome = ("ok", pending.amount0, pending.amount1, pending.fee_paid)
-        except AMMError as exc:  # SlippageError / NoLiquidityError included
-            pending = None
-            seq_outcome = ("err", type(exc).__name__, str(exc))
-        try:
-            amount0, amount1 = batch.quote(zero_for_one, amount_specified, limit)
-            bat_outcome = ("ok", amount0, amount1, batch.fee_paid)
-        except AMMError as exc:
-            bat_outcome = ("err", type(exc).__name__, str(exc))
-        assert seq_outcome == bat_outcome
-        if pending is not None and mode != 3:
-            pending.commit()
+        args = (zero_for_one, amount_specified, limit)
+        oracle, expected = outcome(lambda: swap_oracle.prepare_swap(seq, *args))
+        assert outcome(lambda: batch_quote(*args))[1] == expected
+        single, got = outcome(lambda: one.prepare_swap(*args))
+        assert got == expected
+        if oracle is not None and mode != 3:
+            assert single.commit() == oracle.commit()
             batch.accept()
-        # mode == 3 (or an error): the quote is discarded on both paths.
+        # mode == 3 (or an error): the quote is discarded on every path.
     batch.commit()
-    assert seq.snapshot() == bat.snapshot()
-    assert seq._state_version == bat._state_version
-    assert tick_fee_state(seq) == tick_fee_state(bat)
+    assert pool_state(bat) == pool_state(seq)
+    assert pool_state(one) == pool_state(seq)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,9 +102,7 @@ def test_batch_quoting_equals_sequential(swaps):
 )
 def test_batch_with_nothing_accepted_leaves_pool_untouched(swaps, direction):
     pool = build_pool()
-    before = pool.snapshot()
-    version = pool._state_version
-    ticks_before = tick_fee_state(pool)
+    before = pool_state(pool)
     batch = pool.begin_swap_batch()
     for zero_for_one, exact_input, amount, _ in swaps:
         try:
@@ -110,9 +110,7 @@ def test_batch_with_nothing_accepted_leaves_pool_untouched(swaps, direction):
         except AMMError:
             pass
     batch.commit()
-    assert pool.snapshot() == before
-    assert pool._state_version == version
-    assert tick_fee_state(pool) == ticks_before
+    assert pool_state(pool) == before
 
 
 # -- executor level -------------------------------------------------------------
@@ -128,25 +126,34 @@ TX = st.tuples(
 )
 
 
-def build_executor() -> SidechainExecutor:
-    executor = SidechainExecutor(build_pool())
+def build_executor(
+    initialized: bool = True, cls: type = SidechainExecutor
+) -> SidechainExecutor:
+    executor = cls(build_pool(initialized))
     deposits = {user: [10**20, 10**20] for user in RICH}
     deposits["poor"] = [0, 0]
     executor.begin_epoch(deposits)
     return executor
 
 
-def make_txs(entries):
+def make_mint() -> MintTx:
+    return MintTx(
+        user="u0",
+        tick_lower=-1200,
+        tick_upper=1200,
+        amount0_desired=10**15,
+        amount1_desired=10**15,
+    )
+
+
+def make_txs(entries, interleave_mints=False):
     txs = []
     for user_idx, zero_for_one, exact_input, amount, reject_mode in entries:
+        if interleave_mints and txs:
+            # A mint between every two entries: every swap run has length 1.
+            txs.append(make_mint())
         if user_idx == 4:
-            tx = MintTx(
-                user="u0",
-                tick_lower=-1200,
-                tick_upper=1200,
-                amount0_desired=10**15,
-                amount1_desired=10**15,
-            )
+            tx = make_mint()
         else:
             user = "poor" if user_idx == 3 else RICH[user_idx]
             amount_limit = None
@@ -169,27 +176,73 @@ def make_txs(entries):
     return txs
 
 
+def expected_uninitialized_reason(tx: SwapTx) -> str:
+    """Deadline and amount checks come before the pool's own error."""
+    if tx.deadline is not None:
+        return f"deadline round {tx.deadline} passed"
+    if tx.amount <= 0:
+        return "swap amount must be positive"
+    return "pool not initialized"
+
+
 @settings(max_examples=60, deadline=None)
-@given(entries=st.lists(TX, min_size=1, max_size=14))
-def test_process_round_batch_equals_sequential(entries):
-    batch_ex = build_executor()
-    seq_ex = build_executor()
-    batch_txs = make_txs(entries)
-    seq_txs = make_txs(entries)
+@given(
+    entries=st.lists(TX, min_size=1, max_size=14),
+    initialized=st.booleans(),
+    interleave_mints=st.booleans(),
+)
+def test_process_round_batch_equals_sequential(entries, initialized, interleave_mints):
+    batch_ex = build_executor(initialized)
+    seq_ex = build_executor(initialized)
+    oracle_ex = build_executor(initialized, swap_oracle.OracleExecutor)
+    batch_txs = make_txs(entries, interleave_mints)
+    seq_txs = make_txs(entries, interleave_mints)
+    oracle_txs = make_txs(entries, interleave_mints)
 
     batch_accepted = batch_ex.process_round(batch_txs, current_round=5)
     seq_accepted = [
         tx for tx in seq_txs if seq_ex.process(tx, current_round=5)
     ]
+    oracle_accepted = [
+        tx for tx in oracle_txs if oracle_ex.process(tx, current_round=5)
+    ]
 
-    assert len(batch_accepted) == len(seq_accepted)
-    for b, s in zip(batch_txs, seq_txs):
-        assert b.reject_reason == s.reject_reason
-        if isinstance(b, SwapTx) and not isinstance(b, MintTx):
-            assert b.effects == s.effects
-    assert batch_ex.pool.snapshot() == seq_ex.pool.snapshot()
-    assert batch_ex.pool._state_version == seq_ex.pool._state_version
-    assert tick_fee_state(batch_ex.pool) == tick_fee_state(seq_ex.pool)
-    assert batch_ex.deposits == seq_ex.deposits
-    assert batch_ex.processed_count == seq_ex.processed_count
-    assert batch_ex.rejected_count == seq_ex.rejected_count
+    assert len(batch_accepted) == len(seq_accepted) == len(oracle_accepted)
+    for b, s, o in zip(batch_txs, seq_txs, oracle_txs):
+        assert b.reject_reason == s.reject_reason == o.reject_reason
+        if isinstance(b, SwapTx):
+            assert b.effects == s.effects == o.effects
+            if not initialized:
+                assert b.reject_reason == expected_uninitialized_reason(b)
+    for ex in (seq_ex, oracle_ex):
+        assert pool_state(batch_ex.pool) == pool_state(ex.pool)
+        assert batch_ex.deposits == ex.deposits
+        assert batch_ex.processed_count == ex.processed_count
+        assert batch_ex.rejected_count == ex.rejected_count
+
+
+# -- one-shot commits -------------------------------------------------------------
+
+
+def test_batch_commit_is_one_shot():
+    pool = build_pool()
+    batch = pool.begin_swap_batch()
+    batch.quote(True, 10**16)
+    batch.accept()
+    batch.commit()
+    before = pool_state(pool)
+    with pytest.raises(AMMError, match="pool state changed since batch was opened"):
+        batch.commit()
+    assert pool_state(pool) == before
+
+
+def test_batch_commit_refuses_after_mint():
+    pool = build_pool()
+    batch = pool.begin_swap_batch()
+    batch.quote(False, 10**16)
+    batch.accept()
+    pool.mint("lp2", -1200, -600, 10**17)
+    before = pool_state(pool)
+    with pytest.raises(AMMError, match="pool state changed since batch was opened"):
+        batch.commit()
+    assert pool_state(pool) == before

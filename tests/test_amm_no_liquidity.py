@@ -17,6 +17,7 @@ from repro.amm.tick import TickTable
 from repro.core.executor import SidechainExecutor
 from repro.core.transactions import SwapTx
 from repro.errors import NoLiquidityError
+from tests.swap_oracle import next_initialized_tick
 
 
 def empty_pool() -> Pool:
@@ -80,7 +81,7 @@ class TestExecutorRejection:
     def test_swap_rejected_not_crashed(self):
         """The sidechain executor turns the typed error into a rejection.
 
-        The guard lives in ``Pool.prepare_swap`` itself, so the fused
+        The guard lives in the swap walker itself, so the executor's
         quote/execute path (which bypasses router and quoter) rejects
         too, instead of committing a price crash.
         """
@@ -99,14 +100,12 @@ class TestEmptyTickTableReads:
 
     def test_next_initialized_tick_empty(self):
         table = TickTable(60)
-        assert table.next_initialized_tick(0, lte=True) == (None, False)
-        assert table.next_initialized_tick(0, lte=False) == (None, False)
+        assert next_initialized_tick(table, 0, lte=True) == (None, False)
+        assert next_initialized_tick(table, 0, lte=False) == (None, False)
         assert table.ticks == {}
 
-    def test_peek_and_fee_growth_inside_empty(self):
+    def test_fee_growth_inside_empty(self):
         table = TickTable(60)
-        info = table.peek(120)
-        assert info.liquidity_gross == 0
         inside = table.fee_growth_inside(-60, 60, 0, 0, 0)
         assert inside == (0, 0)
         assert table.ticks == {}

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.amm.quoter import quote_swap
+from repro.errors import NoLiquidityError
+from tests.swap_oracle import pool_state
 
 
 def fresh_pool():
@@ -23,14 +25,26 @@ def test_quote_does_not_mutate_pool():
 
 def test_quote_does_not_grow_tick_table():
     # Regression: the quoter's tick reads used to materialise phantom
-    # records for every uninitialized tick it touched.
-    pool = fresh_pool()
-    pool.mint("lp", -6000, 6000, 10**20)
-    record_count = len(pool.ticks.ticks)
-    for _ in range(5):
-        quote_swap(pool, True, 10**17)
-        quote_swap(pool, False, 10**17)
-    assert len(pool.ticks.ticks) == record_count
+    # records for every uninitialized tick it touched.  Reads must leave
+    # the tick records and the state version alone, on an empty pool
+    # (every quote fails) as on a populated one, live or frozen.
+    populated = fresh_pool()
+    populated.mint("lp", -6000, 6000, 10**20)
+    populated.mint("lp", -60, 600, 10**19)
+    for pool in (fresh_pool(), populated):
+        frozen = pool.freeze()
+        for target, quote in (
+            (pool, lambda *args: quote_swap(pool, *args)),
+            (frozen._pool, frozen.quote),
+        ):
+            before = pool_state(target)
+            for _ in range(3):
+                for args in ((True, 10**17), (False, 10**17), (True, -(10**15))):
+                    try:
+                        quote(*args)
+                    except NoLiquidityError:
+                        assert not pool.liquidity
+            assert pool_state(target) == before
 
 
 def test_quote_matches_execution_exact_input():

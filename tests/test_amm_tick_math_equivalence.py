@@ -13,7 +13,8 @@ from repro.amm import tick_math
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.amm.quoter import quote_swap
-from repro.errors import TickError
+from repro.errors import AMMError, TickError
+from tests.swap_oracle import pool_state
 
 SPACINGS = (1, 10, 60, 200)
 
@@ -138,37 +139,53 @@ def test_prepare_swap_does_not_mutate_pool():
     }
 
 
-def test_commit_refuses_stale_pending_swap():
-    from repro.errors import AMMError
+STALE = "pool state changed since swap was prepared"
 
+
+def test_commit_refuses_stale_pending_swap():
     pool = multi_position_pool()
     pending = pool.prepare_swap(True, 10**16)
     pool.swap(True, 10**15)  # pool moved since prepare
-    with pytest.raises(AMMError):
-        pending.commit()
+    before = pool_state(pool)
+    with pytest.raises(AMMError, match=STALE):
+        pending.commit(timestamp=5.0)
+    assert pool_state(pool) == before
 
 
 def test_commit_refuses_after_out_of_range_mint():
     # A mint entirely below the current tick leaves price/tick/liquidity
     # untouched but changes crossing accounting — the pending swap must die.
-    from repro.errors import AMMError
-
     pool = multi_position_pool()
     pending = pool.prepare_swap(True, 10**18)
     pool.mint("lp2", -12000, -6600, 10**18)
-    with pytest.raises(AMMError):
-        pending.commit()
+    before = pool_state(pool)
+    with pytest.raises(AMMError, match=STALE):
+        pending.commit(timestamp=5.0)
+    assert pool_state(pool) == before
 
 
 def test_commit_is_one_shot():
     # A tiny all-fee swap leaves price/tick/liquidity unchanged; a second
     # commit must still be refused rather than double-applying balances.
-    from repro.errors import AMMError
-
     pool = multi_position_pool()
     pending = pool.prepare_swap(True, 1)
-    pending.commit()
-    balance0 = pool.balance0
-    with pytest.raises(AMMError):
-        pending.commit()
-    assert pool.balance0 == balance0
+    pending.commit(timestamp=5.0)
+    before = pool_state(pool)
+    with pytest.raises(AMMError, match=STALE):
+        pending.commit(timestamp=6.0)
+    assert pool_state(pool) == before
+
+
+def test_swap_with_timestamp_writes_one_observation_at_pre_swap_tick():
+    pool = multi_position_pool()
+    pool.swap(False, 10**18)  # move off tick 0 so the written tick shows
+    pre_tick = pool.tick
+    assert pre_tick != 0
+    observations = list(pool.oracle.observations)
+    last = observations[-1]
+    result = pool.swap(True, 10**18, timestamp=last.timestamp + 10.0)
+    assert result.tick != pre_tick  # the swap moved the tick
+    assert pool.oracle.observations[:-1] == observations
+    written = pool.oracle.observations[-1]
+    assert written.timestamp == last.timestamp + 10.0
+    assert written.tick_cumulative == last.tick_cumulative + pre_tick * 10.0

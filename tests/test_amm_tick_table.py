@@ -1,9 +1,18 @@
-"""Tests for the tick table (tick state + initialized-tick index)."""
+"""Tests for the tick table (tick state + initialized-tick index).
+
+Neighbour lookups go through the reference walker's plain bisect over the
+index (``tests.swap_oracle.next_initialized_tick``); tick crossings are
+exercised through real swaps, since the swap walker owns that accounting.
+"""
 
 import pytest
 
+from repro.amm.backend import Q128, get_sqrt_ratio_at_tick
+from repro.amm.fixed_point import encode_price_sqrt
+from repro.amm.pool import Pool, PoolConfig
 from repro.amm.tick import TickTable
 from repro.errors import TickError
+from tests.swap_oracle import next_initialized_tick
 
 
 @pytest.fixture
@@ -37,7 +46,7 @@ def test_removing_all_liquidity_flips_and_deindexes(table):
     flipped = table.update(60, 0, -1000, 0, 0, upper=False)
     assert flipped
     # De-indexed for swaps, but record retained until clear().
-    assert table.next_initialized_tick(100, lte=True) == (None, False)
+    assert next_initialized_tick(table, 100, lte=True) == (None, False)
     table.clear(60)
     assert 60 not in table.ticks
 
@@ -65,36 +74,55 @@ def test_fee_growth_outside_zero_above_current(table):
 def test_next_initialized_tick_downward(table):
     for tick in (-120, 0, 180):
         table.update(tick, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(200, lte=True) == (180, True)
-    assert table.next_initialized_tick(180, lte=True) == (180, True)
-    assert table.next_initialized_tick(179, lte=True) == (0, True)
-    assert table.next_initialized_tick(-121, lte=True) == (None, False)
+    assert next_initialized_tick(table, 200, lte=True) == (180, True)
+    assert next_initialized_tick(table, 180, lte=True) == (180, True)
+    assert next_initialized_tick(table, 179, lte=True) == (0, True)
+    assert next_initialized_tick(table, -121, lte=True) == (None, False)
 
 
 def test_next_initialized_tick_upward(table):
     for tick in (-120, 0, 180):
         table.update(tick, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(-200, lte=False) == (-120, True)
-    assert table.next_initialized_tick(-120, lte=False) == (0, True)
-    assert table.next_initialized_tick(180, lte=False) == (None, False)
+    assert next_initialized_tick(table, -200, lte=False) == (-120, True)
+    assert next_initialized_tick(table, -120, lte=False) == (0, True)
+    assert next_initialized_tick(table, 180, lte=False) == (None, False)
 
 
-def test_cross_flips_fee_growth_outside(table):
-    table.update(0, 10, 1000, 100, 200, upper=False)
-    net = table.cross(0, 150, 260)
-    assert net == 1000
-    info = table.get(0)
-    assert info.fee_growth_outside0_x128 == 150 - 100
-    assert info.fee_growth_outside1_x128 == 260 - 200
+def crossing_pool() -> Pool:
+    """Tick -60 initialized after fees accrued in both tokens."""
+    pool = Pool(PoolConfig(token0="A", token1="B", fee_pips=3000))
+    pool.initialize(encode_price_sqrt(1, 1))
+    pool.mint("lp", -600, 600, 10**18)
+    pool.swap(True, 10**15)
+    pool.swap(False, 10**15)
+    pool.mint("lp", -60, 60, 10**18)
+    return pool
 
 
-def test_double_cross_restores(table):
-    table.update(0, 10, 1000, 100, 200, upper=False)
-    table.cross(0, 150, 260)
-    table.cross(0, 150, 260)
-    info = table.get(0)
-    assert info.fee_growth_outside0_x128 == 100
-    assert info.fee_growth_outside1_x128 == 200
+def test_cross_flips_fee_growth_outside():
+    pool = crossing_pool()
+    info = pool.ticks.ticks[-60]
+    outside0, outside1 = info.fee_growth_outside0_x128, info.fee_growth_outside1_x128
+    assert outside0 and outside1
+    liquidity = pool.liquidity
+    # Stop exactly on tick -60: the last step crosses it.
+    pool.swap(True, 10**18, sqrt_price_limit_x96=get_sqrt_ratio_at_tick(-60))
+    assert pool.tick == -61
+    assert pool.liquidity == liquidity - info.liquidity_net
+    assert info.fee_growth_outside0_x128 == (pool.fee_growth_global0_x128 - outside0) % Q128
+    assert info.fee_growth_outside1_x128 == (pool.fee_growth_global1_x128 - outside1) % Q128
+
+
+def test_double_cross_restores():
+    pool = crossing_pool()
+    info = pool.ticks.ticks[-60]
+    outside = (info.fee_growth_outside0_x128, info.fee_growth_outside1_x128)
+    liquidity = pool.liquidity
+    pool.swap(True, 10**18, sqrt_price_limit_x96=get_sqrt_ratio_at_tick(-60))
+    # Cross back up before any fee accrues: the flip undoes itself.
+    pool.swap(False, 10**18, sqrt_price_limit_x96=get_sqrt_ratio_at_tick(-59))
+    assert (info.fee_growth_outside0_x128, info.fee_growth_outside1_x128) == outside
+    assert pool.liquidity == liquidity
 
 
 def test_fee_growth_inside_range_containing_current(table):
@@ -123,18 +151,6 @@ def test_bad_spacing_rejected():
         TickTable(tick_spacing=0)
 
 
-def test_peek_does_not_create_records(table):
-    info = table.peek(60)
-    assert info.liquidity_gross == 0
-    assert not info.initialized
-    assert table.ticks == {}
-
-
-def test_peek_returns_live_record(table):
-    table.update(60, 0, 1000, 0, 0, upper=False)
-    assert table.peek(60) is table.get(60)
-
-
 def test_fee_growth_inside_does_not_create_records(table):
     # Regression: read paths previously materialised phantom TickInfo
     # records for uninitialized ticks, growing the table under query load.
@@ -142,17 +158,11 @@ def test_fee_growth_inside_does_not_create_records(table):
     assert table.ticks == {}
 
 
-def test_cross_absent_tick_is_noop(table):
-    assert table.cross(60, 100, 200) == 0
-    assert table.ticks == {}
-
-
-def test_next_initialized_tick_cache_invalidation(table):
+def test_next_initialized_tick_follows_index_mutations(table):
     table.update(60, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(100, lte=True) == (60, True)
-    # Cached answer must be flushed when the index changes.
+    assert next_initialized_tick(table, 100, lte=True) == (60, True)
     table.update(90, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(100, lte=True) == (90, True)
+    assert next_initialized_tick(table, 100, lte=True) == (90, True)
     table.update(90, 0, -1, 0, 0, upper=False)
     table.clear(90)
-    assert table.next_initialized_tick(100, lte=True) == (60, True)
+    assert next_initialized_tick(table, 100, lte=True) == (60, True)
